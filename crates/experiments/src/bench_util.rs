@@ -1,11 +1,13 @@
-//! Shared wall-clock measurement helpers for the bench subcommands.
+//! Shared wall-clock measurement helpers for the overhead benches in
+//! `perf` and `tails`.
 //!
-//! Every bench that compares two configurations (traced vs untraced,
-//! serial vs sharded) must interleave its arms over repeated rounds and
-//! reduce with the median — a single unwarmed run per arm lets
-//! first-touch page faults, allocator growth, and CPU frequency ramp
-//! land on whichever arm happens to run first, which is how
-//! `BENCH_obs.json` once shipped a *negative* trace overhead.
+//! Every bench that compares two configurations (instrumented vs bare)
+//! must interleave its arms over repeated rounds and reduce with the
+//! median — a single unwarmed run per arm lets first-touch page faults,
+//! allocator growth, and CPU frequency ramp land on whichever arm
+//! happens to run first, which is how a trace-overhead bench once
+//! reported a *negative* overhead. Engine throughput itself is measured
+//! by the bench ledger in `perfledger/`.
 
 /// Median of a sample, in place. For even sizes this is the upper
 /// median — for wall-clock samples the distinction is noise, and the

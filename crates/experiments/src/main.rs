@@ -34,8 +34,7 @@
 //!                       asserts the recovery guarantees for CI)
 //!   profile             instrumented pilot runs per scheme (trace, slot
 //!                       series, link-load heatmap, MSER steady-state
-//!                       estimate) + engine-throughput bench; writes
-//!                       BENCH_obs.json to the working directory
+//!                       estimate)
 //!   tails               tail-latency decomposition: per-class reception
 //!                       percentiles, trunk vs ending-dim HOL waits,
 //!                       delay CDFs, BENCH_tails.json (`--smoke` gates
@@ -55,19 +54,15 @@
 //!                       worker-scaling bench (BENCH_net.json). `--smoke`
 //!                       gates exact delivered-count agreement and the
 //!                       runtime p99 ordering for CI
-//!   engine              serial vs sharded step-engine throughput at
-//!                       shard counts 1/2/4/8 with in-bench bit-identity
-//!                       checks; writes BENCH_engine.json and the
-//!                       scaling SVG (`--smoke` gates identity always,
-//!                       and the 5x@4-shards speedup when host_cores>=4)
 //!   perf                runtime-telemetry bench: phase-timing breakdown
 //!                       of the sharded engine's five barriers and the
 //!                       coordinator merge, measured Amdahl serial
 //!                       fraction + predicted speedups, per-worker net
-//!                       straggler spread; writes BENCH_perf.json, the
-//!                       stacked phase SVG, a Prometheus snapshot and a
-//!                       JSONL stream (`--smoke` gates telemetry-off
-//!                       bit-identity and < 5% telemetry-on overhead)
+//!                       straggler spread; writes the stacked phase SVG,
+//!                       a Chrome trace of the barrier phases, a
+//!                       Prometheus snapshot and a JSONL stream (`--smoke`
+//!                       gates telemetry-off bit-identity and < 5%
+//!                       telemetry-on overhead)
 //!   plot                render previously generated CSVs as SVG figures
 //!   collectives         static MNB / total-exchange completion vs bounds
 //!   verify              reproduction gate: re-check every headline claim
@@ -81,7 +76,6 @@
 mod bench_util;
 mod csvout;
 mod custom;
-mod engine;
 mod figures;
 mod net;
 mod perf;
@@ -209,7 +203,12 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: experiments [--quick] [--smoke] [--out DIR] <fig2..fig8|table1..5|ablation_*|resilience|profile|tails|net|engine|perf|scenarios|all>"
+                    "usage: experiments [--quick] [--smoke] [--out DIR] <command>...\n\
+                     commands: fig2..fig8 table1..table5 ablation_balance ablation_varlen\n  \
+                     ablation_arrival ablation_hotspot delay_profile mesh_cap collectives\n  \
+                     saturation_trace balance_gallery resilience resilience_net recovery\n  \
+                     net scenarios perf profile tails plot verify all\n\
+                     or: custom [opts] | trace export [--chrome] (first; takes the remaining arguments)"
                 );
                 return;
             }
@@ -267,7 +266,6 @@ fn run_command(ctx: &Ctx, cmd: &str) {
         "recovery" => recovery::recovery(ctx),
         "net" => net::net(ctx),
         "scenarios" => scenarios::scenarios(ctx),
-        "engine" => engine::engine(ctx),
         "perf" => perf::perf(ctx),
         "profile" => profile::profile(ctx),
         "tails" => tails::tails(ctx),
@@ -302,7 +300,6 @@ fn run_command(ctx: &Ctx, cmd: &str) {
                 "recovery",
                 "net",
                 "scenarios",
-                "engine",
                 "perf",
                 "profile",
                 "tails",

@@ -2,19 +2,19 @@
 //! breakdowns for the sharded engine and the pstar-net runtime.
 //!
 //! Runs the reference scenario (16×16 torus, priority STAR, ρ = 0.9;
-//! 8×8 under `--smoke`) through three instrumented arms — the serial
-//! engine, the sharded engine with [`EnginePerfConfig`] telemetry, and
-//! the pstar-net runtime with [`pstar_net::NetConfig::perf`] — and
-//! writes:
+//! 8×8 under `--smoke`) through two arms, each bare and instrumented —
+//! the sharded engine with [`EnginePerfConfig`] telemetry, and the
+//! pstar-net runtime with [`pstar_net::NetConfig::perf`] — and writes:
 //!
-//! * a phase-breakdown table on stdout: per-barrier work vs wait time
-//!   for every engine worker, the coordinator's k-way-merge/mid/end
-//!   serial section, and the measured **Amdahl decomposition** (serial
-//!   fraction + predicted speedup at 2/4/8/16 cores);
-//! * `BENCH_perf.json` — all of the above plus telemetry overhead
-//!   (instrumented vs bare slots/sec, interleaved median-of-rounds) and
-//!   the per-worker net straggler spread;
+//! * a telemetry-overhead line (instrumented vs bare slots/sec,
+//!   interleaved median-of-rounds) and a phase-breakdown table on
+//!   stdout: per-barrier work vs wait time for every engine worker, the
+//!   coordinator's k-way-merge/mid/end serial section, the measured
+//!   **Amdahl decomposition** (serial fraction + predicted speedup at
+//!   2/4/8/16 cores) and the per-worker net straggler spread;
 //! * `results/perf_phases.svg` — stacked per-worker phase-time bars;
+//! * `results/engine_phases.chrome.json` — a Chrome trace of the
+//!   barrier phases (coordinator and worker tracks, work vs wait);
 //! * `results/perf_metrics.prom` — a Prometheus text-exposition
 //!   snapshot of the whole metrics registry (engine + net);
 //! * `results/perf_stream.jsonl` — the bounded streaming snapshot sink
@@ -31,7 +31,6 @@ use crate::bench_util::{median, overhead_frac};
 use crate::{fatal, Ctx};
 use priority_star::prelude::*;
 use pstar_net::{run_net, NetConfig, NetPerf};
-use pstar_obs::git_rev;
 use pstar_sim::PHASE_NAMES;
 use std::fmt::Write as _;
 
@@ -55,9 +54,9 @@ const PHASE_COLORS: [&str; 6] = [
 ];
 
 /// Runs the interleaved telemetry bench, prints the phase table, writes
-/// `BENCH_perf.json`, the stacked SVG, the Prometheus snapshot and the
-/// JSONL stream; under `--smoke`, gates bit-identity (always, fatally)
-/// and the < 5% overhead bound.
+/// the stacked SVG, the Chrome phase trace, the Prometheus snapshot and
+/// the JSONL stream; under `--smoke`, gates bit-identity (always,
+/// fatally) and the < 5% overhead bound.
 pub fn perf(ctx: &Ctx) {
     let topo = if ctx.smoke {
         Torus::new(&[8, 8])
@@ -88,7 +87,6 @@ pub fn perf(ctx: &Ctx) {
     // Interleaved arms, median-of-rounds (bench_util discipline): the
     // bare and instrumented configurations alternate within each round
     // so warmup and frequency ramp cannot bias either side.
-    let mut serial_secs = Vec::with_capacity(rounds);
     let (mut off_secs, mut on_secs) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
     let (mut net_off_secs, mut net_on_secs) =
         (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
@@ -96,19 +94,15 @@ pub fn perf(ctx: &Ctx) {
     let mut net_slots_run = 0u64;
     for round in 0..rounds {
         let t0 = std::time::Instant::now();
-        let serial_rep = run_scenario(&topo, &spec, cfg);
-        serial_secs.push(t0.elapsed().as_secs_f64());
-        if !serial_rep.ok() {
-            fatal(
-                "perf bench",
-                &format!("serial reference run did not complete cleanly (round {round})"),
-            );
-        }
-        slots_run = serial_rep.slots_run;
-
-        let t0 = std::time::Instant::now();
         let off_rep = run_scenario_sharded(&topo, &spec, cfg, SHARDS, threads, None);
         off_secs.push(t0.elapsed().as_secs_f64());
+        if !off_rep.ok() {
+            fatal(
+                "perf bench",
+                &format!("sharded reference run did not complete cleanly (round {round})"),
+            );
+        }
+        slots_run = off_rep.slots_run;
 
         let t0 = std::time::Instant::now();
         let (on_rep, _perf) = run_scenario_sharded_perf(
@@ -144,7 +138,6 @@ pub fn perf(ctx: &Ctx) {
         }
     }
 
-    let serial_sps = slots_run as f64 / median(&mut serial_secs);
     let off_sps = slots_run as f64 / median(&mut off_secs);
     let on_sps = slots_run as f64 / median(&mut on_secs);
     let overhead = overhead_frac(off_sps, on_sps);
@@ -152,8 +145,7 @@ pub fn perf(ctx: &Ctx) {
     let net_on_sps = net_slots_run as f64 / median(&mut net_on_secs);
     let net_overhead = overhead_frac(net_off_sps, net_on_sps);
     println!(
-        "perf bench: serial {serial_sps:.0} slots/s; sharded s={SHARDS} t={threads} \
-         bare {off_sps:.0} vs instrumented {on_sps:.0} slots/s \
+        "perf bench: sharded s={SHARDS} t={threads} bare {off_sps:.0} vs instrumented {on_sps:.0} slots/s \
          (overhead {:.1}%); net w={net_workers} bare {net_off_sps:.0} vs \
          instrumented {net_on_sps:.0} slots/s (overhead {:.1}%); \
          median of {rounds}, host_cores={host_cores}",
@@ -205,24 +197,16 @@ pub fn perf(ctx: &Ctx) {
     );
 
     write_phase_svg(ctx, &topo, &eperf);
-    write_bench_json(&BenchSummary {
-        topo: &topo,
-        host_cores,
-        rounds,
-        slots_run,
-        serial_sps,
-        threads,
-        off_sps,
-        on_sps,
-        overhead,
-        net_workers: net_detail.workers,
-        net_off_sps,
-        net_on_sps,
-        net_overhead,
-        eperf: &eperf,
-        net_perf,
-    });
-    ctx.push_phase("perf-bench", serial_secs.iter().sum(), Some(slots_run));
+    let trace_path = ctx.out.join("engine_phases.chrome.json");
+    if let Err(e) = std::fs::write(&trace_path, pstar_obs::chrome_trace_phases(&eperf.spans)) {
+        fatal(&format!("writing {}", trace_path.display()), &e);
+    }
+    println!(
+        "wrote {} ({} phase spans)",
+        trace_path.display(),
+        eperf.spans.len()
+    );
+    ctx.push_phase("perf-bench", off_secs.iter().sum(), Some(slots_run));
 
     if ctx.smoke {
         // Bit-identity already gated fatally above, every round, both
@@ -434,129 +418,4 @@ fn write_phase_svg(ctx: &Ctx, topo: &Torus, p: &EnginePerf) {
         fatal(&format!("writing {}", path.display()), &e);
     }
     println!("plotted {}", path.display());
-}
-
-/// Everything `BENCH_perf.json` needs, gathered so the writer stays a
-/// plain serializer.
-struct BenchSummary<'a> {
-    topo: &'a Torus,
-    host_cores: usize,
-    rounds: usize,
-    slots_run: u64,
-    serial_sps: f64,
-    threads: usize,
-    off_sps: f64,
-    on_sps: f64,
-    overhead: f64,
-    net_workers: usize,
-    net_off_sps: f64,
-    net_on_sps: f64,
-    net_overhead: f64,
-    eperf: &'a EnginePerf,
-    net_perf: &'a NetPerf,
-}
-
-/// `BENCH_perf.json`: overheads, the per-phase breakdown, the Amdahl
-/// decomposition, and the net straggler spread — with `host_cores`,
-/// rounds and revision so the numbers can be interpreted honestly.
-fn write_bench_json(b: &BenchSummary<'_>) {
-    let p = b.eperf;
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"bench\": \"perf_telemetry\",");
-    let _ = writeln!(s, "  \"host_cores\": {},", b.host_cores);
-    match git_rev() {
-        Some(rev) => {
-            let _ = writeln!(s, "  \"git_rev\": \"{rev}\",");
-        }
-        None => s.push_str("  \"git_rev\": null,\n"),
-    }
-    let dims: Vec<String> = (0..b.topo.d())
-        .map(|i| b.topo.dim_size(i).to_string())
-        .collect();
-    let _ = writeln!(s, "  \"topology\": \"torus({})\",", dims.join("x"));
-    let _ = writeln!(s, "  \"rho\": 0.9,");
-    let _ = writeln!(s, "  \"slots\": {},", b.slots_run);
-    let _ = writeln!(s, "  \"rounds\": {},", b.rounds);
-    let _ = writeln!(s, "  \"serial_slots_per_sec\": {:.1},", b.serial_sps);
-    let _ = writeln!(
-        s,
-        "  \"sharded\": {{\"shards\": {}, \"threads\": {}, \"off_slots_per_sec\": {:.1}, \
-         \"on_slots_per_sec\": {:.1}, \"overhead_frac\": {:.4}, \"bit_identical\": true}},",
-        p.shards, b.threads, b.off_sps, b.on_sps, b.overhead
-    );
-    let _ = writeln!(
-        s,
-        "  \"net\": {{\"workers\": {}, \"off_slots_per_sec\": {:.1}, \
-         \"on_slots_per_sec\": {:.1}, \"overhead_frac\": {:.4}, \"bit_identical\": true}},",
-        b.net_workers, b.net_off_sps, b.net_on_sps, b.net_overhead
-    );
-    let _ = writeln!(s, "  \"serial_fraction\": {:.6},", p.serial_fraction());
-    s.push_str("  \"predicted_speedup\": [");
-    for (i, &k) in AMDAHL_KS.iter().enumerate() {
-        if i > 0 {
-            s.push_str(", ");
-        }
-        let _ = write!(
-            s,
-            "{{\"cores\": {k}, \"speedup\": {:.3}}}",
-            p.predicted_speedup(k)
-        );
-    }
-    s.push_str("],\n");
-    s.push_str("  \"phases\": [");
-    for (i, name) in PHASE_NAMES.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let work: u64 = p.worker_phases.iter().map(|w| w.work_ns[i]).sum();
-        let wait: u64 = p.worker_phases.iter().map(|w| w.wait_ns[i]).sum();
-        let _ = write!(
-            s,
-            "\n    {{\"phase\": \"{name}\", \"work_ns\": {work}, \"wait_ns\": {wait}}}"
-        );
-    }
-    s.push_str("\n  ],\n");
-    let _ = writeln!(
-        s,
-        "  \"coordinator\": {{\"merge_ns\": {}, \"mid_slot_ns\": {}, \"end_slot_ns\": {}, \
-         \"wait_ns\": {}, \"merged_msgs\": {}}},",
-        p.coord.merge_ns, p.coord.mid_ns, p.coord.end_ns, p.coord.wait_ns, p.merged_msgs
-    );
-    let _ = writeln!(s, "  \"boundary_packets\": {},", p.boundary_packets);
-    let _ = writeln!(
-        s,
-        "  \"arena_slots_high\": {},",
-        p.arena_slots.iter().copied().max().unwrap_or(0)
-    );
-    let _ = writeln!(
-        s,
-        "  \"free_list_high\": {},",
-        p.free_list_len.iter().copied().max().unwrap_or(0)
-    );
-    let _ = writeln!(s, "  \"jsonl_samples\": {},", p.jsonl_lines);
-    s.push_str("  \"net_workers_detail\": [");
-    for (i, w) in b.net_perf.workers.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        let _ = write!(
-            s,
-            "\n    {{\"worker\": {}, \"slot_ns_min\": {}, \"slot_ns_median\": {}, \
-             \"slot_ns_max\": {}, \"barrier_wait_ns\": {}, \"blocked_send_ns\": {}, \
-             \"data_depth_high\": {}}}",
-            w.worker,
-            w.slot_ns_min,
-            w.slot_ns_median,
-            w.slot_ns_max,
-            w.wait_ns_total(),
-            w.blocked_send_ns,
-            w.data_depth_high
-        );
-    }
-    s.push_str("\n  ]\n}\n");
-    if let Err(e) = std::fs::write("BENCH_perf.json", &s) {
-        fatal("writing BENCH_perf.json", &e);
-    }
-    println!("(benchmark summary written to BENCH_perf.json)");
 }

@@ -28,6 +28,7 @@
 //! trace-event JSON (`results/trace_<scheme>.chrome.json`), viewable in
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 
+use crate::bench_util::{median, overhead_frac};
 use crate::csvout::Table;
 use crate::svg::{Chart, Series};
 use crate::sweep::{broadcast_arm, parallel_map, scheme_rho_points};
@@ -309,18 +310,9 @@ fn overhead_bench(ctx: &Ctx, topo: &Torus) -> (f64, f64, f64) {
         Some((rounds as u64) * 2 * (cfg.warmup_slots + cfg.measure_slots)),
     );
 
-    let median = |xs: &mut Vec<f64>| {
-        xs.sort_by(|a, b| a.total_cmp(b));
-        xs[xs.len() / 2]
-    };
     let base_sps = median(&mut base);
     let tails_sps = median(&mut tails);
-    let overhead = if base_sps.is_finite() && base_sps > 0.0 {
-        1.0 - tails_sps / base_sps
-    } else {
-        f64::NAN
-    };
-    (base_sps, tails_sps, overhead)
+    (base_sps, tails_sps, overhead_frac(base_sps, tails_sps))
 }
 
 /// The benchmark summary for dashboards, in the working directory by

@@ -168,6 +168,14 @@ fn threaded_matches_sequential_and_serial() {
         let sharded = run_scenario_sharded(&topo, &spec, cfg, 8, threads, None);
         assert_reports_match(&serial, &sharded, &format!("threads={threads}"));
     }
+    // 8×8: more nodes per shard and more boundary links per cut.
+    let topo8 = Torus::new(&[8, 8]);
+    let serial8 = run_scenario(&topo8, &spec, cfg);
+    assert!(serial8.ok(), "8x8 serial run not clean");
+    for shards in [2usize, 4, 8] {
+        let sharded = run_scenario_sharded(&topo8, &spec, cfg, shards, shards.min(2), None);
+        assert_reports_match(&serial8, &sharded, &format!("8x8 shards={shards}"));
+    }
     // Threaded + faulted, both policies.
     for policy in [DeadLinkPolicy::Drop, DeadLinkPolicy::Requeue] {
         let serial = run_scenario_with_faults(&topo, &spec, cfg, outage_plan(&topo), policy);
